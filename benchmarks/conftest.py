@@ -17,7 +17,14 @@ deadline relationship.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The engine oracle (tests/sim/heap_engine.py) lives with the tests; make
+# the repository root importable however pytest was launched.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.sim import units
 

@@ -30,7 +30,7 @@ from repro.network.routing import RoutingTable
 from repro.network.topology import paper_topology
 from repro.network.packet import Packet
 from repro.sim.engine import _DEFAULT_WHEEL_SLOTS, Engine
-from repro.sim.heap_engine import HeapEngine
+from tests.sim.heap_engine import HeapEngine
 
 
 def mkpkt(deadline: int, *, size: int = 256) -> Packet:

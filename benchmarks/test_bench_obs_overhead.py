@@ -1,12 +1,15 @@
 """Overhead guard for the observability layer.
 
-The contract (ISSUE 3, ARCHITECTURE.md section 8): a run that does not
-ask for metrics pays one attribute load and branch per instrumented
-site, nothing more.  Three lines of defence:
+The contract (ARCHITECTURE.md section 8): a run that does not ask for
+metrics pays one attribute load and branch per instrumented site,
+nothing more.  Every site is a ``probe is not None`` test on the one
+:class:`repro.obs.probe.Probe` a fabric builds only when a channel is
+enabled.  Three lines of defence:
 
 - ``test_disabled_path_is_inert`` proves it *structurally*: every null
-  instrument is booby-trapped and a full experiment still runs, so the
-  disabled hot path provably never records.
+  instrument and every ``Probe`` method is booby-trapped and a full
+  experiment still runs, so the disabled hot path provably never
+  records and never enters the probe.
 - ``test_bench_run_disabled`` / ``test_bench_run_enabled`` time the two
   paths under pytest-benchmark so regressions against the seed numbers
   show up in CI history (the <3% budget is judged on the disabled one).
@@ -18,9 +21,9 @@ site, nothing more.  Three lines of defence:
 The span tracer (ISSUE 8) extends the same contract:
 
 - ``test_tracing_disabled_path_is_inert`` booby-traps every
-  ``NullPacketTracer`` hook -- the structural proof that a run without
-  ``tracer=`` never executes a tracing instruction beyond the cached
-  ``self._span_on`` branch.
+  ``NullPacketTracer`` hook and every ``Probe`` method -- the structural
+  proof that a run without ``tracer=`` never executes a tracing
+  instruction beyond the ``probe is not None`` branch.
 - ``test_tracing_disabled_ab_overhead`` is the interleaved A/B gate:
   bare (default) vs explicit ``NULL_TRACER`` whole runs, alternated
   min-of-N, ratio < 1.01 (+2 ms epsilon for timer noise).  Honest
@@ -48,6 +51,7 @@ from repro.obs.metrics import (
     _NullGauge,
     _NullHistogram,
 )
+from repro.obs.probe import Probe
 from repro.obs.tracing import NULL_TRACER, NullPacketTracer, PacketTracer
 from repro.sim import units
 from repro.sim.monitor import Trace
@@ -78,19 +82,37 @@ def _booby_trap(monkeypatch, cls, method):
     monkeypatch.setattr(cls, method, boom)
 
 
-def test_disabled_path_is_inert(monkeypatch):
-    """With NULL_METRICS (the default), no instrument method ever fires.
+def _booby_trap_probe(monkeypatch):
+    """Trap every method :class:`Probe` defines, its constructor included."""
+    methods = [name for name, value in vars(Probe).items() if callable(value)]
+    assert {"__init__", "submit", "deliver", "enqueue", "forward"} <= set(methods)
+    for method in methods:
+        _booby_trap(monkeypatch, Probe, method)
 
-    Component constructors may *fetch* null instruments (that is the
-    one-time setup cost), but the hot path must be gated so the null
-    singletons never see an ``inc``/``set``/``observe``.
+
+def test_disabled_path_is_inert(monkeypatch):
+    """With NULL_METRICS (the default), no instrument method ever fires
+    and the fabric never builds or enters a probe.
+
+    The hot path must be gated so the null singletons never see an
+    ``inc``/``set``/``observe``.
     """
     _booby_trap(monkeypatch, _NullCounter, "inc")
     _booby_trap(monkeypatch, _NullGauge, "set")
     _booby_trap(monkeypatch, _NullHistogram, "observe")
+    _booby_trap_probe(monkeypatch)
     result = run_experiment(_config())
     assert result.metrics is None
+    assert result.fabric.probe is None
     assert result.events_executed > 10_000
+
+
+def test_probe_traps_fire_on_an_observed_run(monkeypatch):
+    """Control for the traps above: an observed run does enter the probe,
+    so the disabled-path tests would notice a probe built by mistake."""
+    _booby_trap(monkeypatch, Probe, "deliver")
+    with pytest.raises(AssertionError, match="Probe.deliver"):
+        run_experiment(_config(), metrics=MetricsRegistry())
 
 
 def test_disabled_registry_allocates_nothing():
@@ -154,15 +176,17 @@ def test_enabled_overhead_is_bounded():
 def test_tracing_disabled_path_is_inert(monkeypatch):
     """With NULL_TRACER (the default), no tracer hook ever fires.
 
-    This is the structural <1% proof: components cache
-    ``tracer.enabled`` and guard every site with
-    ``self._span_on and pkt.traced``, so a run without a tracer executes
-    one attribute load + branch per site and *no* tracing code.
+    This is the structural <1% proof: a fabric without an enabled
+    channel builds no probe and every site is guarded by
+    ``probe is not None``, so a run without a tracer executes one
+    attribute load + branch per site and *no* tracing code.
     """
     for method in ("begin", "event", "arrive", "finish"):
         _booby_trap(monkeypatch, NullPacketTracer, method)
+    _booby_trap_probe(monkeypatch)
     result = run_experiment(_config())
     assert result.tracer is None
+    assert result.fabric.probe is None
     assert result.events_executed > 10_000
 
 

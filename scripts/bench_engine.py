@@ -32,9 +32,10 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 from repro.sim.engine import Engine  # noqa: E402
-from repro.sim.heap_engine import HeapEngine  # noqa: E402
+from tests.sim.heap_engine import HeapEngine  # noqa: E402
 
 #: Gate: fail when a workload ratio falls below baseline_ratio * (1 - this).
 REGRESSION_BUDGET = 0.20

@@ -146,8 +146,8 @@ def run_experiment(
     telemetry only observes (the determinism tests assert as much).
 
     ``engine_factory`` swaps the event kernel (the differential harness
-    passes the reference :class:`repro.sim.heap_engine.HeapEngine`);
-    results must be byte-identical for any conforming engine.
+    passes its reference binary-heap engine); results must be
+    byte-identical for any conforming engine.
     """
     topology = make_topology(config.topology)
     architecture = ARCHITECTURES[config.architecture]
@@ -159,12 +159,7 @@ def run_experiment(
         fabric_kwargs["tracer"] = tracer
     if engine_factory is not None:
         fabric_kwargs["engine"] = engine_factory()
-    # Every in-repo delivery observer copies scalars out of the packet,
-    # so delivered-packet storage can be recycled; uids stay fresh per
-    # logical packet, keeping results byte-identical with pooling off.
-    fabric = Fabric(
-        topology, architecture, config.params, packet_pooling=True, **fabric_kwargs
-    )
+    fabric = Fabric(topology, architecture, config.params, **fabric_kwargs)
     streams = RandomStreams(config.seed)
     mix = build_mix(fabric, streams, config.mix_config)
     if collector is None:

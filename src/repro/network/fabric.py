@@ -34,6 +34,7 @@ from repro.network.packet import Packet, PacketFactory, VC_BEST_EFFORT, VC_REGUL
 from repro.network.routing import RoutingTable
 from repro.network.topology import Topology, paper_topology
 from repro.obs.metrics import NULL_METRICS
+from repro.obs.probe import build_probe
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import Engine
 from repro.sim.monitor import NullTrace
@@ -114,21 +115,22 @@ class Fabric:
         trace=_NULL_TRACE,
         metrics=NULL_METRICS,
         tracer=NULL_TRACER,
-        packet_pooling: bool = False,
     ):
         self.topology = topology
         self.architecture = architecture
         self.params = params
         self.engine = engine or Engine()
-        #: Fabric-wide uid minting (+ optional free-list pooling): one
-        #: factory shared by every host keeps uids unique fabric-wide and
-        #: deterministic per run.  Pooling is opt-in because delivery
-        #: subscribers outside this repo may retain Packet objects; see
-        #: PacketFactory.recycle for the lifecycle contract.
-        self.packet_factory = PacketFactory(pooling=packet_pooling)
+        #: Fabric-wide uid minting: one factory shared by every host keeps
+        #: uids unique fabric-wide and deterministic per run.
+        self.packet_factory = PacketFactory()
         self.trace = trace
         self.metrics = metrics
         self.tracer = tracer
+        #: The one observation path every host and switch shares; ``None``
+        #: unless at least one of the three channels is enabled.
+        self.probe = build_probe(
+            metrics=metrics, tracer=tracer, trace=trace, n_vcs=params.n_vcs
+        )
         self.flows = FlowRegistry()
         self.routing = RoutingTable(topology)
         self.admission = AdmissionController(
@@ -158,14 +160,12 @@ class Fabric:
                 architecture,
                 eligible_policy=eligible_policy,
                 mtu=params.mtu,
-                trace=trace,
                 on_delivery=self._dispatch_delivery,
                 clock_offset=(
                     self.clock_domain.offset(node_id) if self.clock_domain else 0
                 ),
                 n_vcs=params.n_vcs,
-                metrics=metrics,
-                tracer=tracer,
+                probe=self.probe,
                 packet_factory=self.packet_factory,
             )
             for index, node_id in enumerate(topology.host_ids)
@@ -178,10 +178,8 @@ class Fabric:
                 sw_id,
                 topology.radix(sw_id),
                 architecture,
-                trace=trace,
                 n_vcs=params.n_vcs,
-                metrics=metrics,
-                tracer=tracer,
+                probe=self.probe,
             )
             for sw_id in topology.switch_ids
         }

@@ -145,57 +145,21 @@ class Packet:
 
 
 class PacketFactory:
-    """Per-fabric packet minting: deterministic uids plus optional pooling.
+    """Per-fabric packet minting with deterministic uids.
 
     One factory is shared by every host of a fabric, so uids are unique
     fabric-wide and -- unlike the module-global fallback counter -- reset
     with the fabric: two back-to-back runs in one process produce
     identical uid streams (the uid-determinism regression test pins
     this).
-
-    With ``pooling`` enabled, :meth:`recycle` keeps delivered packets on
-    a free list and :meth:`mint` re-initializes one instead of
-    allocating.  Lifecycle rules (ARCHITECTURE.md section 10): a packet
-    may be recycled only once it has left every queue and every
-    observer; uids are minted fresh per *logical* packet either way, so
-    tracing and statistics are byte-identical with pooling on or off.
     """
 
-    __slots__ = ("pooling", "_next_uid", "_pool")
+    __slots__ = ("_next_uid",)
 
-    def __init__(self, *, pooling: bool = False):
-        self.pooling = pooling
+    def __init__(self) -> None:
         self._next_uid = 0
-        self._pool: list[Packet] = []
-
-    @property
-    def uids_minted(self) -> int:
-        return self._next_uid
-
-    @property
-    def pooled(self) -> int:
-        return len(self._pool)
 
     def mint(self, **fields) -> Packet:
-        """A fresh logical packet: pooled storage, never a pooled uid."""
+        """A fresh packet with the next fabric-wide uid."""
         self._next_uid += 1
-        pool = self._pool
-        if pool:
-            pkt = pool.pop()
-            # Re-running __init__ resets every slot (hop, inject, deliver,
-            # hop_arrival, traced, ...) -- a recycled packet is
-            # indistinguishable from a newly allocated one.
-            pkt.__init__(uid=self._next_uid, **fields)
-            return pkt
         return Packet(uid=self._next_uid, **fields)
-
-    def recycle(self, pkt: Packet) -> None:
-        """Return a delivered packet's storage to the free list.
-
-        Callers must guarantee no live reference remains (host ``accept``
-        calls this after the last observer hook).  No-op unless pooling
-        was requested, so default-configured fabrics keep plain GC
-        semantics.
-        """
-        if self.pooling:
-            self._pool.append(pkt)

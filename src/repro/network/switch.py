@@ -34,22 +34,19 @@ fields (deadline, source route) only.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.architectures import Architecture
-from repro.core.arbiter import MeteredPicker
 from repro.core.invariants import invariant
 from repro.core.queues import PacketQueue
 from repro.network.link import Link
 from repro.network.packet import N_VCS, Packet
-from repro.obs.metrics import DEPTH_BUCKETS, NULL_METRICS, WAIT_BUCKETS_NS
-from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import Engine
-from repro.sim.monitor import NullTrace
+
+if TYPE_CHECKING:
+    from repro.obs.probe import Probe
 
 __all__ = ["Switch"]
-
-_NULL_TRACE = NullTrace()
 
 
 class Switch:
@@ -61,7 +58,7 @@ class Switch:
         "n_ports",
         "n_vcs",
         "architecture",
-        "trace",
+        "probe",
         "in_links",
         "out_links",
         "_voq",
@@ -69,15 +66,6 @@ class Switch:
         "_pickers",
         "packets_forwarded",
         "bytes_forwarded",
-        "metrics",
-        "_obs_on",
-        "_m_enqueue",
-        "_m_dequeue",
-        "_m_order_errors",
-        "_m_depth",
-        "_m_wait",
-        "tracer",
-        "_span_on",
     )
 
     def __init__(
@@ -86,10 +74,9 @@ class Switch:
         node_id: str,
         n_ports: int,
         architecture: Architecture,
-        trace=_NULL_TRACE,
+        *,
         n_vcs: int = N_VCS,
-        metrics=NULL_METRICS,
-        tracer=NULL_TRACER,
+        probe: Optional["Probe"] = None,
     ):
         if n_ports < 1:
             raise ValueError(f"switch needs >= 1 port, got {n_ports}")
@@ -100,7 +87,8 @@ class Switch:
         self.n_ports = n_ports
         self.n_vcs = n_vcs
         self.architecture = architecture
-        self.trace = trace
+        #: The fabric's observation path; ``None`` on a run without obs.
+        self.probe = probe
         self.in_links: List[Optional[Link]] = [None] * n_ports
         self.out_links: List[Optional[Link]] = [None] * n_ports
         # _voq[in_port][out_port][vc]; byte capacity is enforced upstream by
@@ -124,6 +112,8 @@ class Switch:
             [architecture.make_picker() for _vc in range(n_vcs)]
             for _out in range(n_ports)
         ]
+        if probe is not None:
+            self._pickers = [[probe.meter(p) for p in per_out] for per_out in self._pickers]
         # Clock-aware buffer structures (the pipelined heap) need the
         # switch's local cycle counter to model their settle window.
         for per_in in self._voq:
@@ -133,41 +123,6 @@ class Switch:
                         queue.now_fn = self._clock
         self.packets_forwarded = 0
         self.bytes_forwarded = 0
-        # Observability: instruments are shared fabric-wide by name; the
-        # cached ``_obs_on`` bool keeps the disabled hot path at one
-        # attribute load + branch per site.
-        self.metrics = metrics
-        self._obs_on = metrics.enabled
-        # Construction-time only: instrument names are formatted once per
-        # switch; the forwarding path uses the cached instrument objects.
-        self._m_enqueue = [
-            metrics.counter(f"network.switch.vc{vc}.enqueue_packets_total", unit="packets")  # simlint: allow-hot-eager-str
-            for vc in range(n_vcs)
-        ]
-        self._m_dequeue = [
-            metrics.counter(f"network.switch.vc{vc}.dequeue_packets_total", unit="packets")  # simlint: allow-hot-eager-str
-            for vc in range(n_vcs)
-        ]
-        self._m_order_errors = [
-            metrics.counter(f"network.switch.vc{vc}.order_errors_total", unit="packets")  # simlint: allow-hot-eager-str
-            for vc in range(n_vcs)
-        ]
-        self._m_depth = metrics.histogram(
-            "network.switch.queue_depth_packets", DEPTH_BUCKETS, unit="packets"
-        )
-        self._m_wait = metrics.histogram(
-            "network.switch.arbitration_wait_ns", WAIT_BUCKETS_NS, unit="ns"
-        )
-        if self._obs_on:
-            picks = metrics.counter("core.arbiter.picks_total", unit="picks")
-            grants = metrics.counter("core.arbiter.grants_total", unit="grants")
-            self._pickers = [
-                [MeteredPicker(picker, picks, grants) for picker in per_out]
-                for per_out in self._pickers
-            ]
-        # Span tracing (same cached-flag discipline as ``_obs_on``).
-        self.tracer = tracer
-        self._span_on = tracer.enabled
 
     def _clock(self) -> int:
         return self.engine.now
@@ -202,16 +157,9 @@ class Switch:
             )
         queue = self._voq[in_port][out_port][pkt.vc]
         queue.push(pkt)
-        if self._obs_on:
-            pkt.hop_arrival = self.engine.now
-            self._m_enqueue[pkt.vc].inc()
-            self._m_depth.observe(len(queue))
-        if self.trace.enabled:
-            self.trace.record(self.engine.now, "switch.enqueue", self.node_id, in_port, out_port, pkt.uid)
-        if self._span_on and pkt.traced:
-            # ``link`` is the wire the packet just crossed: its occupancy
-            # splits the segment into transmit + propagate exactly.
-            self.tracer.arrive(pkt, self.engine.now, self.node_id, link)
+        probe = self.probe
+        if probe is not None:
+            probe.enqueue(pkt, self.node_id, link, out_port, queue, self.engine.now)
         out_link = self.out_links[out_port]
         if out_link is not None and not out_link.busy:
             self._try_output(out_port)
@@ -251,44 +199,25 @@ class Switch:
                 continue
             pkt = queues[index].pop()
             picker.granted(index)
-            if self._obs_on:
-                self._record_dequeue(pkt, queues[index])
-            self._send(pkt, out_link, in_port=index)
+            probe = self.probe
+            if probe is not None:
+                # Before transmit: the forward timestamp is the instant the
+                # packet won arbitration.
+                now = self.engine.now
+                probe.dequeue(pkt, queues[index], now)
+                probe.forward(pkt, self.node_id, index, out_port, now)
+            out_link.transmit(pkt)
+            self.packets_forwarded += 1
+            self.bytes_forwarded += pkt.size
+            # Input buffer space frees as the packet drains through the
+            # crossbar; the credit goes back when draining *starts* (the
+            # upstream cannot land a new packet here in less than one
+            # serialization anyway, so transient over-occupancy is bounded
+            # by one MTU -- see the credit-conservation tests).
+            in_link = self.in_links[index]
+            invariant(in_link is not None, "packet came from an unwired input port")
+            in_link.return_credit(pkt.vc, pkt.size)
             return
-
-    def _record_dequeue(self, pkt: Packet, queue: PacketQueue) -> None:
-        """Metrics-enabled path only: dequeue counts, arbitration wait,
-        and head-of-line order errors (the departing packet leaves behind
-        a *smaller*-deadline packet in the same VOQ -- exactly the
-        inversion the take-over structure exists to prevent)."""
-        self._m_dequeue[pkt.vc].inc()
-        if pkt.hop_arrival is not None:
-            self._m_wait.observe(self.engine.now - pkt.hop_arrival)
-            pkt.hop_arrival = None
-        head = queue.head()
-        if head is not None and head.deadline < pkt.deadline:
-            self._m_order_errors[pkt.vc].inc()
-
-    def _send(self, pkt: Packet, out_link: Link, in_port: int) -> None:
-        if self._span_on and pkt.traced:
-            # Before transmit so the forward timestamp is the instant the
-            # packet won arbitration (same engine.now either way).
-            self.tracer.event(pkt, "forward", self.engine.now, self.node_id)
-        out_link.transmit(pkt)
-        self.packets_forwarded += 1
-        self.bytes_forwarded += pkt.size
-        if self.trace.enabled:
-            self.trace.record(
-                self.engine.now, "switch.forward", self.node_id, in_port, out_link.src_port, pkt.uid
-            )
-        # Input buffer space frees as the packet drains through the
-        # crossbar; the credit goes back when draining *starts* (the
-        # upstream cannot land a new packet here in less than one
-        # serialization anyway, so transient over-occupancy is bounded by
-        # one MTU -- see the credit-conservation tests).
-        in_link = self.in_links[in_port]
-        invariant(in_link is not None, "packet came from an unwired input port")
-        in_link.return_credit(pkt.vc, pkt.size)
 
     # ------------------------------------------------------------------
     # introspection (tests, metrics)

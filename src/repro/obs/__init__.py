@@ -13,6 +13,9 @@ observability pays (almost) nothing:
 - :mod:`repro.obs.snapshot` / :mod:`repro.obs.schema` -- the stable JSON
   snapshot document, pretty-printer, differ, JSONL trace dump, and a
   dependency-free schema validator used by CI.
+- :mod:`repro.obs.probe` -- :class:`~repro.obs.probe.Probe`, the one
+  object through which hosts and switches reach the metrics, the span
+  tracer and the structured trace (``None`` on a run without obs).
 - :mod:`repro.obs.tracing` / :mod:`repro.obs.blame` -- span-based
   packet-lifecycle tracing (exact integer-ns per-stage decomposition,
   head/tail sampling, Chrome-trace + JSONL export) and the

@@ -16,10 +16,10 @@ Three instrument kinds, mirroring the classic time-series taxonomy:
 The **null-object pattern** carries the disabled case (mirroring
 :class:`repro.sim.monitor.NullTrace`): :data:`NULL_METRICS` hands out
 shared no-op instrument singletons and reports ``enabled = False``.
-Instrumented components cache that flag (``self._obs_on``) at
-construction, so a disabled run pays one attribute load and a branch per
-instrumentation site -- the overhead budget is enforced by
-``benchmarks/test_bench_obs_overhead.py``.
+A fabric whose registry, tracer and trace are all disabled builds no
+:class:`repro.obs.probe.Probe`, so a bare run pays one attribute load
+and a branch per instrumentation site -- the overhead budget is
+enforced by ``benchmarks/test_bench_obs_overhead.py``.
 
 Metric names follow ``<layer>.<component>.<name>_<unit>`` with optional
 qualifier segments between component and leaf (``network.switch.vc0.

@@ -45,11 +45,11 @@ Retained traces live in a bounded ring (``capacity`` newest kept, like
 :meth:`repro.sim.monitor.Trace.snapshot`.
 
 **Overhead discipline.**  :data:`NULL_TRACER` is the null-object default
-every component takes.  Instrumented components cache
-``tracer.enabled`` (``self._span_on``) at construction, and every
-per-packet site is guarded by ``if self._span_on and pkt.traced:`` --
-one attribute load and a short-circuit branch when disabled, enforced by
-``benchmarks/test_bench_obs_overhead.py``.
+the fabric takes.  The hooks are called only by
+:class:`repro.obs.probe.Probe`, which holds the tracer only when it is
+enabled and checks ``pkt.traced`` before every hook except ``begin``; a
+run without any observation builds no probe at all, which
+``benchmarks/test_bench_obs_overhead.py`` enforces.
 """
 
 from __future__ import annotations
@@ -278,8 +278,7 @@ def decompose_events(
 class NullPacketTracer:
     """Disabled tracer: every hook is a no-op.
 
-    ``enabled`` is False so components can cache the flag
-    (``self._span_on``) and skip the instrumentation sites entirely; a
+    ``enabled`` is False so the fabric leaves it out of its probe; a
     call that slips through is a no-op, never an error.
     """
 
@@ -365,7 +364,7 @@ class PacketTracer:
         self._m_retained_by_class: Dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
-    # hot-path hooks (components guard with `self._span_on and pkt.traced`)
+    # hot-path hooks (the probe guards all but `begin` with `pkt.traced`)
     # ------------------------------------------------------------------
     def begin(self, pkt: Any, t_ns: int, node: str) -> None:
         """Packet born at the source NIC: decide sampling, open the chain."""

@@ -1,8 +1,8 @@
 """The discrete-event simulation kernel.
 
 A hierarchical timing wheel with an overflow heap and a single-event
-fast path, replacing the seed's binary heap (kept verbatim in
-:mod:`repro.sim.heap_engine` as the differential-testing reference).
+fast path, replacing the seed's binary heap (kept verbatim as the
+differential-testing oracle in ``tests/sim/heap_engine.py``).
 Design notes, informed by profiling -- the dispatch loop and the two
 schedule methods are the hottest code in the whole library:
 

@@ -1,20 +1,20 @@
 """Structured event tracing.
 
-A :class:`Trace` collects ``(time, topic, payload)`` records from any
-component that was handed the trace object.  Traces are for debugging and
-for the fine-grained assertions in the integration tests (e.g. "packet X
-left switch S before packet Y"); the statistics used by the benchmark
-harness are collected by the cheaper accumulators in :mod:`repro.stats`.
+A :class:`Trace` collects ``(time, topic, payload)`` records from the
+fabric's hosts and switches (through :class:`repro.obs.probe.Probe`).
+Traces are for debugging and for the fine-grained assertions in the
+integration tests (e.g. "packet X left switch S before packet Y"); the
+statistics used by the benchmark harness are collected by the cheaper
+accumulators in :mod:`repro.stats`.
 
-:class:`NullTrace` is the default no-op sink; components call
-``trace.record(...)`` unconditionally and the null implementation makes
-that a cheap no-op, keeping the hot path free of ``if`` clutter.
+:class:`NullTrace` is the default no-op sink; its ``enabled = False``
+tells the fabric to leave the trace out of its probe.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Set, Union
+from typing import Any, Iterable, List, NamedTuple, Optional, Set, Union
 
 __all__ = ["NullTrace", "Trace", "TraceRecord"]
 
@@ -33,9 +33,6 @@ class NullTrace:
     def record(self, time: int, topic: str, *payload: Any) -> None:
         return None
 
-    def subscribe(self, topic: str, fn: Callable[[TraceRecord], None]) -> None:
-        raise TypeError("NullTrace cannot deliver records; use Trace instead")
-
 
 class Trace:
     """Records events, optionally filtered to a set of topics.
@@ -52,9 +49,7 @@ class Trace:
     forensics.  With ``ring=True`` the buffer keeps the *newest*
     ``capacity`` records, evicting the oldest -- right for "what
     happened just before it went wrong".  Either way ``dropped`` counts
-    every record not retained, and subscribers always see **all**
-    matching records regardless of buffer state: capacity bounds
-    memory, not the callback stream.
+    every record not retained.
     """
 
     enabled = True
@@ -75,7 +70,6 @@ class Trace:
             deque(maxlen=capacity) if ring else []
         )
         self.dropped = 0
-        self._subscribers: dict[str, list[Callable[[TraceRecord], None]]] = {}
 
     def record(self, time: int, topic: str, *payload: Any) -> None:
         if self.topics is not None and topic not in self.topics:
@@ -87,14 +81,6 @@ class Trace:
                 self.records.append(rec)  # deque(maxlen=...) evicts the oldest
         else:
             self.records.append(rec)
-        for fn in self._subscribers.get(topic, ()):
-            fn(rec)
-
-    def subscribe(self, topic: str, fn: Callable[[TraceRecord], None]) -> None:
-        """Call ``fn`` synchronously for every record on ``topic``."""
-        if self.topics is not None:
-            self.topics.add(topic)
-        self._subscribers.setdefault(topic, []).append(fn)
 
     def by_topic(self, topic: str) -> List[TraceRecord]:
         return [r for r in self.records if r.topic == topic]

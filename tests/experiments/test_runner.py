@@ -68,8 +68,7 @@ class TestDeterminism:
         # Regression: uid minting lives on the per-fabric PacketFactory,
         # so a second run in the same process replays the exact uid
         # stream (the old module-global counter kept counting across
-        # runs, which broke uid-keyed trace comparison and would have
-        # made pooled-packet reuse nondeterministic).
+        # runs, which broke uid-keyed trace comparison).
         def run_once():
             uids = []
             config = quick_config(measure_ns=120 * units.US)
@@ -83,7 +82,6 @@ class TestDeterminism:
                 make_topology(config.topology),
                 ARCHITECTURES[config.architecture],
                 config.params,
-                packet_pooling=True,
             )
             fabric.subscribe_delivery(lambda pkt, now: uids.append(pkt.uid))
             mix = build_mix(fabric, RandomStreams(config.seed), config.mix_config)

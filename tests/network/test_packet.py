@@ -50,45 +50,6 @@ class TestPacketFactory:
         assert [_mint(a).uid, _mint(a).uid] == [1, 2]
         assert _mint(b).uid == 1
 
-    def test_pooled_instance_is_reinitialized(self):
-        factory = PacketFactory(pooling=True)
-        first = _mint(factory, size=64, deadline=10)
-        first.hop = 3
-        factory.recycle(first)
-        second = _mint(factory, size=128, deadline=20)
-        assert second is first  # storage reused ...
-        assert second.uid == 2  # ... identity is not
-        assert second.size == 128
-        assert second.deadline == 20
-        assert second.hop == 0
-
-    def test_pooling_off_never_retains(self):
-        factory = PacketFactory()
-        pkt = _mint(factory)
-        factory.recycle(pkt)
-        assert factory.pooled == 0
-        assert _mint(factory) is not pkt
-
-    def test_free_list_is_conserved_across_mint_recycle_cycles(self):
-        # The SIM503 lint discipline (every mint paired with a recycle)
-        # has this runtime counterpart: recycling everything that was
-        # minted returns every storage object to the free list, and a
-        # second generation reuses exactly those objects -- the pool
-        # neither leaks storage nor invents new allocations.
-        factory = PacketFactory(pooling=True)
-        first_gen = [_mint(factory) for _ in range(8)]
-        storage = {id(p) for p in first_gen}
-        for pkt in first_gen:
-            factory.recycle(pkt)
-        assert factory.pooled == 8
-        second_gen = [_mint(factory) for _ in range(8)]
-        assert factory.pooled == 0
-        assert {id(p) for p in second_gen} == storage
-        for pkt in second_gen:
-            factory.recycle(pkt)
-        assert factory.pooled == 8  # conserved, not grown
-        assert factory.uids_minted == 16  # uids stay per-logical-packet
-
     def test_explicit_uid_bypasses_global_counter(self):
         pkt = mkpkt(1)
         explicit = Packet(

@@ -1,8 +1,8 @@
-"""Trace buffer behaviour: topics, subscribers, and the two drop policies."""
+"""Trace buffer behaviour: topic filtering and the two drop policies."""
 
 import pytest
 
-from repro.sim.monitor import NullTrace, Trace, TraceRecord
+from repro.sim.monitor import NullTrace, Trace
 
 
 class TestTopicsAndSubscribers:
@@ -17,22 +17,6 @@ class TestTopicsAndSubscribers:
         t.record(1, "a", 1)
         t.record(2, "b", 2)
         assert len(t.records) == 2
-
-    def test_subscribe_delivers_matching_records(self):
-        t = Trace()
-        seen = []
-        t.subscribe("a", seen.append)
-        t.record(1, "a", "x")
-        t.record(2, "b", "y")
-        assert seen == [TraceRecord(1, "a", ("x",))]
-
-    def test_subscribe_widens_topic_filter(self):
-        t = Trace(topics={"a"})
-        seen = []
-        t.subscribe("b", seen.append)
-        t.record(1, "b", "x")
-        assert len(seen) == 1  # subscribing added "b" to the filter
-        assert t.records[0].topic == "b"
 
     def test_by_topic(self):
         t = Trace()
@@ -62,15 +46,6 @@ class TestDropPolicies:
     def test_ring_requires_capacity(self):
         with pytest.raises(ValueError):
             Trace(ring=True)
-
-    def test_subscribers_see_records_past_capacity(self):
-        t = Trace(capacity=1, ring=True)
-        seen = []
-        t.subscribe("a", seen.append)
-        for i in range(3):
-            t.record(i, "a", i)
-        assert len(seen) == 3  # capacity bounds memory, not the stream
-        assert len(t.records) == 1
 
     def test_clear_resets_buffer_and_drop_count(self):
         t = Trace(capacity=1)
@@ -102,7 +77,3 @@ class TestNullTrace:
         n = NullTrace()
         assert n.enabled is False
         n.record(0, "a", "payload")  # no-op
-
-    def test_subscribe_rejected(self):
-        with pytest.raises(TypeError):
-            NullTrace().subscribe("a", lambda rec: None)

@@ -1,8 +1,9 @@
 """Differential proof: timing-wheel engine == binary-heap reference.
 
 The wheel engine's only license to exist is byte-for-bit equivalence
-with the reference heap engine (`repro.sim.heap_engine.HeapEngine`,
-the pre-overhaul kernel kept verbatim).  Two layers of evidence:
+with the reference heap engine (`HeapEngine` in `heap_engine.py` next
+to this file, the pre-overhaul kernel kept verbatim).  Two layers of
+evidence:
 
 1. A Hypothesis property drives both engines through the *same* random
    interleaving of schedule / cancellable-schedule / cancel /
@@ -29,7 +30,7 @@ from repro.experiments.runner import run_experiment
 from repro.obs.tracing import PacketTracer, write_spans_jsonl
 from repro.sim import units
 from repro.sim.engine import _DEFAULT_WHEEL_SLOTS, Engine
-from repro.sim.heap_engine import HeapEngine
+from tests.sim.heap_engine import HeapEngine
 
 # Delays deliberately straddle the wheel horizon so the overflow heap,
 # the drain-on-advance path, and the in-window fast path all see load.

@@ -1,7 +1,5 @@
 """Tests for the tracing facility."""
 
-import pytest
-
 from repro.sim.monitor import NullTrace, Trace
 
 
@@ -33,21 +31,6 @@ class TestTrace:
         trace.record(3, "a")
         assert [r.time for r in trace.by_topic("a")] == [1, 3]
 
-    def test_subscribe_delivers_synchronously(self):
-        trace = Trace()
-        seen = []
-        trace.subscribe("evt", lambda rec: seen.append(rec.payload))
-        trace.record(5, "evt", "data")
-        trace.record(6, "other")
-        assert seen == [("data",)]
-
-    def test_subscribe_widens_topic_filter(self):
-        trace = Trace(topics={"a"})
-        seen = []
-        trace.subscribe("b", seen.append)
-        trace.record(1, "b", 1)
-        assert len(seen) == 1
-
     def test_clear(self):
         trace = Trace(capacity=1)
         trace.record(1, "a")
@@ -62,7 +45,3 @@ class TestNullTrace:
         null = NullTrace()
         assert null.enabled is False
         null.record(1, "anything", "payload")  # no-op, no error
-
-    def test_cannot_subscribe(self):
-        with pytest.raises(TypeError):
-            NullTrace().subscribe("t", lambda r: None)
