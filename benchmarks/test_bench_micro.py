@@ -3,10 +3,10 @@
 Not a paper artifact -- these time the pieces every experiment is built
 from, so simulator-performance regressions are visible in isolation:
 
-- event kernel dispatch rate (timing wheel vs. the heap reference, with
-  interleaved A/B ratio gates pinning the wheel's advantage),
-- tombstone-heavy cancel/reschedule and mixed-horizon workloads (the
-  wheel's best and worst cases respectively),
+- event kernel dispatch rate (the production kernel vs. the seed heap
+  oracle ``HeapEngine``, with interleaved A/B ratio gates),
+- tombstone-heavy cancel/reschedule and mixed near/far-horizon
+  workloads,
 - push/pop throughput of the three buffer structures (the FIFO-vs-heap
   cost gap is the paper's implementability argument in microseconds),
 - deadline stamping rate,
@@ -29,7 +29,7 @@ from repro.core.queues import EDFHeapQueue, FifoQueue, TakeOverQueue
 from repro.network.routing import RoutingTable
 from repro.network.topology import paper_topology
 from repro.network.packet import Packet
-from repro.sim.engine import _DEFAULT_WHEEL_SLOTS, Engine
+from repro.sim.engine import Engine
 from tests.sim.heap_engine import HeapEngine
 
 
@@ -44,8 +44,8 @@ N_PACKETS = 20_000
 
 
 def _chain_dispatch(engine_cls, n=N_EVENTS):
-    """Serial event chain: one event in flight at all times (the wheel's
-    hot-slot fast path; the dominant shape of link/host timer traffic)."""
+    """Serial event chain: one event in flight at all times (the
+    dominant shape of link/host timer traffic)."""
     engine = engine_cls()
 
     def chain(remaining):
@@ -81,10 +81,10 @@ def _tombstone_churn(engine_cls, n=N_PACKETS):
 
 
 def _mixed_horizon(engine_cls, n=N_PACKETS):
-    """Near-now chain interleaved with far-future timers that land past
-    the wheel horizon -- the overflow heap's worst case (every eighth
-    step pays a heap push plus a later drain)."""
-    far = _DEFAULT_WHEEL_SLOTS * 3
+    """Near-now chain interleaved with far-future timers: every eighth
+    step also schedules an event ~12 us ahead, so the pending set mixes
+    near and far timestamps."""
+    far = 12_288
     engine = engine_cls()
     state = {"remaining": n}
 
@@ -104,16 +104,17 @@ def _mixed_horizon(engine_cls, n=N_PACKETS):
 
 
 def _ab_ratio(workload, rounds=5):
-    """heap/wheel wall-time ratio, interleaved min-of-N (>1 == wheel wins)."""
-    wheel = heap = float("inf")
+    """oracle/engine wall-time ratio, interleaved min-of-N (>1 == the
+    production kernel is faster than the ``HeapEngine`` oracle)."""
+    engine = oracle = float("inf")
     for _ in range(rounds):
         t0 = time.perf_counter()  # simlint: allow-wallclock
         workload(Engine)
-        wheel = min(wheel, time.perf_counter() - t0)  # simlint: allow-wallclock
+        engine = min(engine, time.perf_counter() - t0)  # simlint: allow-wallclock
         t0 = time.perf_counter()  # simlint: allow-wallclock
         workload(HeapEngine)
-        heap = min(heap, time.perf_counter() - t0)  # simlint: allow-wallclock
-    return heap / wheel
+        oracle = min(oracle, time.perf_counter() - t0)  # simlint: allow-wallclock
+    return oracle / engine
 
 
 def test_bench_engine_dispatch(benchmark):
@@ -138,33 +139,32 @@ def test_bench_engine_mixed_horizon(benchmark):
 
 
 def test_engine_dispatch_speedup_guard():
-    """The tentpole gate: the wheel must dispatch the serial chain at
-    >= 2x the heap reference (measured ~2.9x; the margin absorbs runner
-    noise without ever letting the headline claim silently rot)."""
+    """The production kernel must never dispatch the serial chain slower
+    than the heap oracle (measured 1.06-2.53x over 20 runs, median 1.63x:
+    no per-event handle object; the margin absorbs runner noise)."""
     ratio = _ab_ratio(_chain_dispatch)
-    assert ratio >= 2.0, (
-        f"wheel dispatch speedup degraded to {ratio:.2f}x the heap "
-        "reference (claimed >= 2x)"
+    assert ratio >= 1.0, (
+        f"engine dispatch speedup degraded to {ratio:.2f}x the heap "
+        "oracle (budget: >= 1.0x)"
     )
 
 
 def test_engine_tombstone_speedup_guard():
-    """Cancel/reschedule churn must never be slower on the wheel
-    (measured ~1.2x: bucket tombstones skip the heap's sift cost)."""
+    """Cancel/reschedule churn must never be slower than the oracle
+    (measured 1.07-1.92x over 20 runs, median 1.35x)."""
     ratio = _ab_ratio(_tombstone_churn)
     assert ratio >= 1.0, (
-        f"wheel tombstone churn fell to {ratio:.2f}x the heap reference"
+        f"engine tombstone churn fell to {ratio:.2f}x the heap oracle"
     )
 
 
 def test_engine_mixed_horizon_bounded_regression_guard():
-    """The wheel's worst case: far-future events pay overflow-heap push
-    + drain, so the wheel is allowed to lose here -- but by a bounded
-    margin (measured ~0.9x)."""
+    """Near/far mixed horizons must never be slower than the oracle
+    (measured 1.27-1.75x over 20 runs, median 1.35x)."""
     ratio = _ab_ratio(_mixed_horizon)
-    assert ratio >= 0.7, (
-        f"wheel mixed-horizon throughput fell to {ratio:.2f}x the heap "
-        "reference (budget: >= 0.7x)"
+    assert ratio >= 1.0, (
+        f"engine mixed-horizon throughput fell to {ratio:.2f}x the heap "
+        "oracle (budget: >= 1.0x)"
     )
 
 

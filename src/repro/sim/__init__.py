@@ -8,7 +8,7 @@ reproduced figure.
 
 Public surface:
 
-- :class:`~repro.sim.engine.Engine` -- the event loop (timing wheel).
+- :class:`~repro.sim.engine.Engine` -- the event loop (one binary heap).
 - :class:`~repro.sim.engine.EventHandle` -- cancellable scheduled callback.
 - :class:`~repro.sim.process.Process` / :func:`~repro.sim.process.process`
   -- optional coroutine-style processes layered on top of the engine.

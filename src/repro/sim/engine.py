@@ -1,37 +1,22 @@
 """The discrete-event simulation kernel.
 
-A hierarchical timing wheel with an overflow heap and a single-event
-fast path, replacing the seed's binary heap (kept verbatim as the
-differential-testing oracle in ``tests/sim/heap_engine.py``).
-Design notes, informed by profiling -- the dispatch loop and the two
-schedule methods are the hottest code in the whole library:
+One binary heap of ``[time, seq, fn, args]`` entries.  The sequence
+number is unique and grows with every schedule call, so the heap orders
+events by ``(time, schedule order)`` and list comparison never reaches
+the callback.  The seed's heap engine is kept as the differential-testing
+oracle in ``tests/sim/heap_engine.py``; ``tests/sim/test_engine_differential.py``
+proves both dispatch the same events in the same order.
 
-- **Timing wheel.**  Link/switch delays are small fixed integer-ns
-  constants, so almost every event lands within a bounded horizon of
-  ``now``.  The wheel is ``wheel_slots`` (a power of two) persistent
-  bucket lists indexed by ``time & mask``; a min-heap of *occupied
-  bucket times* (``_times``) replaces per-event heap churn with
-  per-timestamp heap churn.  The window invariant -- every wheeled time
-  lies in ``[now, now + horizon)`` -- makes slot<->time a bijection, so
-  a bucket never mixes timestamps and append order *is* schedule order.
-- **Overflow heap.**  Events beyond the horizon go to a conventional
-  ``(time, seq, entry)`` heap and are *drained* into the wheel at every
-  clock advancement, before any callback at the new time runs.  That
-  ordering discipline is what keeps runs byte-for-bit identical to the
-  reference heap engine (see ARCHITECTURE.md section 10 for the proof
-  sketch).
-- **Hot slot.**  The serial portions of a workload (one event in
-  flight, each callback scheduling the next) never need a priority
-  structure at all.  When the engine is otherwise empty, ``at``/``after``
-  park the callback in two instance slots -- no allocation, no heap, no
-  bucket -- and the run loop dispatches it directly.  Measured, this is
-  the difference between ~1.2x and >2x over the seed engine on the
-  dispatch microbenchmark.
-- **Tombstone cancellation.**  ``at``/``after`` return ``None`` (the
-  handle allocation was the single largest schedule-path cost); the
-  ``*_cancellable`` variants return a pooled :class:`EventHandle` whose
-  entry is a mutable ``[fn, args]`` cell.  ``cancel()`` swaps in a no-op
-  and the dispatch loop discards the tombstone when it surfaces.
+- **No handle on the plain path.**  ``at``/``after`` return ``None``: a
+  handle allocation per event was the largest schedule-path cost, and
+  almost no caller cancels.  The ``*_cancellable`` variants return an
+  :class:`EventHandle` that holds the heap entry itself.
+- **Tombstone cancellation.**  ``cancel()`` swaps the entry's callback
+  for a no-op and drops its arguments; the run loop discards the
+  tombstone when it reaches the top of the heap.
+- Each schedule method pushes its own entry and none calls another, so
+  a wrapper around any one of them (``perfbench/probes.py`` wraps all
+  four) sees each scheduled callback exactly once.
 - Callbacks receive their pre-bound arguments; there is no per-event
   dictionary or keyword packing on the hot path.
 """
@@ -40,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import sys
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, List, Optional
 
 __all__ = ["Engine", "EventHandle", "SimulationError"]
 
@@ -53,12 +38,6 @@ _heappop = heapq.heappop
 #: loop compares against an int constant instead of testing
 #: `is not None` twice per event (int/int compares stay in C).
 _NO_BOUND = sys.maxsize
-
-#: Default wheel size: 4096 slots = a 4.096 us horizon at 1 ns
-#: resolution, comfortably covering serialization (~250 ns/MTU at the
-#: paper's 8 Gb/s) and propagation (tens of ns) delays; heartbeats and
-#: traffic inter-arrivals take the overflow heap.
-_DEFAULT_WHEEL_SLOTS = 4096
 
 
 class SimulationError(RuntimeError):
@@ -74,48 +53,31 @@ class EventHandle:
 
     Returned by :meth:`Engine.at_cancellable` /
     :meth:`Engine.after_cancellable`.  The plain :meth:`Engine.at` /
-    :meth:`Engine.after` return ``None``: a handle allocation per event
-    was the single largest cost on the schedule path, and almost no
-    caller cancels.
-
-    Ownership discipline (handles are pooled): after calling
-    :meth:`cancel` the caller must drop the reference -- the engine may
-    recycle the object for a later ``*_cancellable`` call.  The
-    cancel-then-rearm pattern (``h.cancel(); h = engine.at_cancellable(...)``)
-    is safe by construction.
+    :meth:`Engine.after` return ``None``.
     """
 
-    __slots__ = ("time", "seq", "cancelled", "_entry", "_engine")
+    __slots__ = ("time", "cancelled", "_entry")
 
-    def __init__(self, time: int, seq: int, entry: list, engine: "Engine"):
-        self.time = time
-        self.seq = seq
+    def __init__(self, entry: list):
+        self.time: int = entry[0]
         self.cancelled = False
         self._entry = entry
-        self._engine = engine
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Idempotent; safe after firing."""
         if self.cancelled:
             return
         self.cancelled = True
-        # Tombstone the entry in place: the dispatch loop recognizes the
-        # no-op by identity and discards it.  Dropping fn/args eagerly
-        # also unpins the arguments of long-lived cancelled events.
+        # Tombstone the entry in place: the run loop recognizes the no-op
+        # by identity and discards it.  Dropping the arguments eagerly
+        # unpins them while the tombstone waits in the heap.
         entry = self._entry
-        entry[0] = _noop
-        entry[1] = ()
-        self._entry = _DEAD_ENTRY
-        # The owner has relinquished the handle: recycle it.
-        self._engine._handle_pool.append(self)
+        entry[2] = _noop
+        entry[3] = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time} seq={self.seq} {state}>"
-
-
-#: Shared placeholder entry for cancelled handles (never dispatched).
-_DEAD_ENTRY: list = [_noop, ()]
+        return f"<EventHandle t={self.time} {state}>"
 
 
 class Engine:
@@ -135,15 +97,7 @@ class Engine:
     __slots__ = (
         "_now",
         "_seq",
-        "_mask",
-        "_horizon",
-        "_wheel",
-        "_times",
-        "_overflow",
-        "_hot_fn",
-        "_hot_args",
-        "_hot_time",
-        "_handle_pool",
+        "_heap",
         "_running",
         "_stopped",
         "_events_executed",
@@ -151,34 +105,14 @@ class Engine:
         "_count_live",
     )
 
-    def __init__(self, start_time: int = 0, *, wheel_slots: int = _DEFAULT_WHEEL_SLOTS):
+    def __init__(self, start_time: int = 0):
         if start_time < 0:
             raise SimulationError(f"start time must be >= 0, got {start_time}")
-        if wheel_slots < 2 or wheel_slots & (wheel_slots - 1):
-            raise SimulationError(
-                f"wheel_slots must be a power of two >= 2, got {wheel_slots}"
-            )
         self._now: int = start_time
         self._seq: int = 0
-        self._mask: int = wheel_slots - 1
-        self._horizon: int = wheel_slots
-        #: one persistent list per slot; index = time & mask.  The window
-        #: invariant (all wheeled times in [now, now+horizon)) keeps each
-        #: bucket single-timestamped, so append order == schedule order.
-        self._wheel: List[list] = [[] for _ in range(wheel_slots)]
-        #: min-heap of occupied bucket *times* (pushed on the empty ->
-        #: non-empty transition only, so entries are unique).
-        self._times: List[int] = []
-        #: beyond-horizon events: heap of (time, seq, entry); seq breaks
-        #: same-time ties in schedule order among overflow entries.
-        self._overflow: List[tuple] = []
-        #: single-event fast path: when the engine is otherwise empty a
-        #: scheduled event lives in these three slots, allocation-free.
-        self._hot_fn: Optional[Callable[..., Any]] = None
-        self._hot_args: tuple = ()
-        self._hot_time: int = 0
-        #: free list of cancelled EventHandles awaiting reuse.
-        self._handle_pool: List[EventHandle] = []
+        #: min-heap of [time, seq, fn, args]; seq is unique, so ordering
+        #: never compares callbacks.
+        self._heap: List[list] = []
         self._running = False
         self._stopped = False
         self._events_executed = 0
@@ -216,14 +150,18 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Number of scheduled entries, *including* cancelled tombstones."""
-        wheel = self._wheel
-        mask = self._mask
-        count = sum(len(wheel[t & mask]) for t in self._times)
-        count += len(self._overflow)
-        if self._hot_fn is not None:
-            count += 1
-        return count
+        """Number of scheduled entries, *including* cancelled tombstones.
+
+        Read from inside a callback, only entries later than :attr:`now`
+        count: events still due at the current time are not pending.  The
+        telemetry heartbeat samples this as
+        ``sim.engine.heap_depth_events``.  The scan is O(n) but runs only
+        when an observer asks.
+        """
+        if self._running:
+            now = self._now
+            return sum(1 for entry in self._heap if entry[0] > now)
+        return len(self._heap)
 
     @property
     def tombstones_discarded(self) -> int:
@@ -232,71 +170,36 @@ class Engine:
         The tombstone *ratio* (discarded / (discarded + executed)) is the
         health number: near 1.0 means most scheduling traffic is
         cancellation garbage and the scheduling pattern deserves a look.
+
+        Known fault: :meth:`run` adds its discards only when it returns,
+        so a read from inside a callback (the telemetry heartbeat's
+        ``sim.engine.tombstones_total``) misses those of the current run.
+        The perfbench reference digests record this behaviour.
         """
         return self._tombstones_discarded
 
     @property
     def tombstone_ratio(self) -> float:
+        """discarded / (discarded + executed).
+
+        Known fault: refreshed only when :meth:`run` returns (see
+        :attr:`tombstones_discarded`), so the heartbeat gauge
+        ``sim.engine.tombstone_ratio`` reads 0.0 for the whole of a
+        single-run simulation.
+        """
         total = self._tombstones_discarded + self._events_executed
         return self._tombstones_discarded / total if total else 0.0
-
-    def wheel_stats(self) -> Dict[str, Any]:
-        """Occupancy counters for the wheel structure (telemetry/tests).
-
-        ``occupied_buckets`` is the size of the occupied-time heap (one
-        entry per distinct in-window timestamp), ``overflow_pending`` the
-        beyond-horizon backlog, ``hot_armed`` whether the single-event
-        fast path currently holds the only pending event.
-        """
-        return {
-            "slots": self._horizon,
-            "horizon_ns": self._horizon,
-            "occupied_buckets": len(self._times),
-            "overflow_pending": len(self._overflow),
-            "hot_armed": self._hot_fn is not None,
-            "pending": self.pending,
-            "events_executed": self._events_executed,
-            "tombstones_discarded": self._tombstones_discarded,
-        }
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next live event, or ``None`` if nothing is pending.
 
-        Buckets that turn out to be pure tombstone garbage are reclaimed
-        here (and counted), mirroring the reference engine's
-        discard-on-peek behaviour.
+        Tombstones at the top of the heap are discarded (and counted) here.
         """
-        best: Optional[int] = None
-        if self._hot_fn is not None:
-            best = self._hot_time
-        times = self._times
-        wheel = self._wheel
-        mask = self._mask
-        while times:
-            t = times[0]
-            bucket = wheel[t & mask]
-            has_live = False
-            for entry in bucket:
-                if entry[0] is not _noop:
-                    has_live = True
-                    break
-            if has_live:
-                if best is None or t < best:
-                    best = t
-                break
-            # Whole bucket is cancelled garbage: reclaim it now.
-            self._tombstones_discarded += len(bucket)
-            bucket.clear()
-            _heappop(times)
-        overflow = self._overflow
-        while overflow and overflow[0][2][0] is _noop:
-            _heappop(overflow)
+        heap = self._heap
+        while heap and heap[0][2] is _noop:
+            _heappop(heap)
             self._tombstones_discarded += 1
-        if overflow:
-            t = overflow[0][0]
-            if best is None or t < best:
-                best = t
-        return best
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------
     # scheduling
@@ -307,75 +210,38 @@ class Engine:
         Returns ``None``; use :meth:`at_cancellable` if the event may
         need to be revoked.
         """
-        if self._hot_fn is None:
-            if not self._times and not self._overflow:
-                # Engine is empty: park the event allocation-free.
-                if time < self._now:
-                    raise SimulationError(
-                        f"cannot schedule at t={time}, current time is {self._now}"
-                    )
-                self._hot_time = time
-                self._hot_fn = fn
-                self._hot_args = args
-                return
-        else:
-            self._spill_hot()
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self._now}"
             )
-        if time - self._now < self._horizon:
-            bucket = self._wheel[time & self._mask]
-            if not bucket:
-                _heappush(self._times, time)
-            bucket.append((fn, args))
-        else:
-            self._seq += 1
-            _heappush(self._overflow, (time, self._seq, (fn, args)))
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, [time, seq, fn, args])
 
     def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` after ``delay`` nanoseconds from now.
 
         Open-coded rather than delegating to :meth:`at`: most hot-path
         callers reschedule relative to now, and ``delay >= 0`` already
-        guarantees the not-in-the-past invariant, so the extra call
-        frame and re-check would be pure overhead (profiling puts this
-        method second only to the run loop itself).  Returns ``None``;
-        use :meth:`after_cancellable` if the event may need revoking.
+        guarantees the not-in-the-past invariant.  Returns ``None``; use
+        :meth:`after_cancellable` if the event may need revoking.
         """
-        if self._hot_fn is None:
-            if not self._times and not self._overflow:
-                if delay < 0:
-                    raise SimulationError(f"delay must be >= 0, got {delay}")
-                self._hot_time = self._now + delay
-                self._hot_fn = fn
-                self._hot_args = args
-                return
-        else:
-            self._spill_hot()
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        time = self._now + delay
-        if delay < self._horizon:
-            bucket = self._wheel[time & self._mask]
-            if not bucket:
-                _heappush(self._times, time)
-            bucket.append((fn, args))
-        else:
-            self._seq += 1
-            _heappush(self._overflow, (time, self._seq, (fn, args)))
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, [self._now + delay, seq, fn, args])
 
     def at_cancellable(
         self, time: int, fn: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule ``fn(*args)`` at ``time``; returns a cancellable handle."""
-        if self._hot_fn is not None:
-            self._spill_hot()
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self._now}"
             )
-        return self._push_cancellable(time, fn, args)
+        self._seq = seq = self._seq + 1
+        entry = [time, seq, fn, args]
+        _heappush(self._heap, entry)
+        return EventHandle(entry)
 
     def after_cancellable(
         self, delay: int, fn: Callable[..., Any], *args: Any
@@ -383,74 +249,10 @@ class Engine:
         """Schedule ``fn(*args)`` after ``delay`` ns; returns a cancellable handle."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        if self._hot_fn is not None:
-            self._spill_hot()
-        return self._push_cancellable(self._now + delay, fn, args)
-
-    def _push_cancellable(
-        self, time: int, fn: Callable[..., Any], args: tuple
-    ) -> EventHandle:
-        entry = [fn, args]
-        self._seq += 1
-        if time - self._now < self._horizon:
-            bucket = self._wheel[time & self._mask]
-            if not bucket:
-                _heappush(self._times, time)
-            bucket.append(entry)
-        else:
-            _heappush(self._overflow, (time, self._seq, entry))
-        pool = self._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.seq = self._seq
-            handle.cancelled = False
-            handle._entry = entry
-            return handle
-        return EventHandle(time, self._seq, entry, self)
-
-    def _spill_hot(self) -> None:
-        """Move the hot-slot event into the wheel/overflow.
-
-        Called before any second event is admitted, so at rest the hot
-        slot coexists with other pending work only after a mid-bucket
-        limit/stop break (see the run loop's ordering note).
-        """
-        time = self._hot_time
-        fn = self._hot_fn
-        args = self._hot_args
-        self._hot_fn = None
-        self._hot_args = ()
-        if time - self._now < self._horizon:
-            bucket = self._wheel[time & self._mask]
-            if not bucket:
-                _heappush(self._times, time)
-            bucket.append((fn, args))
-        else:
-            self._seq += 1
-            _heappush(self._overflow, (time, self._seq, (fn, args)))
-
-    def _drain_overflow(self) -> None:
-        """Move every overflow entry now inside the horizon onto the wheel.
-
-        Must run at *every* clock advancement, before any callback at the
-        new time: that guarantees an overflow entry for time T always
-        reaches T's bucket before any direct in-window append for T can
-        happen (a direct append requires now > T - horizon, and the first
-        advancement past T - horizon performs the drain), preserving the
-        global (time, schedule-order) total order.
-        """
-        bound = self._now + self._horizon
-        overflow = self._overflow
-        wheel = self._wheel
-        mask = self._mask
-        times = self._times
-        while overflow and overflow[0][0] < bound:
-            time, _seq, entry = _heappop(overflow)
-            bucket = wheel[time & mask]
-            if not bucket:
-                _heappush(times, time)
-            bucket.append(entry)
+        self._seq = seq = self._seq + 1
+        entry = [self._now + delay, seq, fn, args]
+        _heappush(self._heap, entry)
+        return EventHandle(entry)
 
     # ------------------------------------------------------------------
     # execution
@@ -476,20 +278,11 @@ class Engine:
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
 
-        wheel = self._wheel
-        mask = self._mask
-        times = self._times
-        overflow = self._overflow
+        heap = self._heap
         pop = _heappop
-        push = _heappush
-        length = len
-        drain = self._drain_overflow
         base = self._events_executed
-        # Sentinel bounds: comparing against maxsize is always false for
-        # real timestamps/counts, which removes two `is not None` tests
-        # from every loop iteration.
-        until_bound: Union[int, float] = _NO_BOUND if until is None else until
-        limit: Union[int, float] = _NO_BOUND if max_events is None else max_events
+        until_bound = _NO_BOUND if until is None else until
+        limit = _NO_BOUND if max_events is None else max_events
         # With _count_live set, the public counter is refreshed after
         # every callback so observers sampling *inside* the loop (the
         # telemetry heartbeat's events/sec probe) see a moving count;
@@ -501,109 +294,31 @@ class Engine:
         self._running = True
         self._stopped = False
         try:
-            while True:
-                fn = self._hot_fn
-                if fn is not None:
-                    t = self._hot_time
-                    # Hot slot normally implies an otherwise-empty engine;
-                    # the one coexistence case is a bucket pushed back by a
-                    # mid-bucket limit/stop break, whose items were all
-                    # scheduled before the hot event -- hence strict `<`
-                    # so the bucket wins timestamp ties (falls through to
-                    # the wheel branch below).
-                    if not times or t < times[0]:
-                        if t > until_bound:
-                            break
-                        if executed >= limit:
-                            break
-                        self._hot_fn = None
-                        self._now = t
-                        fn(*self._hot_args)
-                        executed += 1
-                        if live:
-                            self._events_executed = base + executed
-                        # `_stopped` is written by stop() from inside the
-                        # callback we just ran, so it must be re-read after
-                        # every dispatch; a pre-loop hoist would be a
-                        # semantic change.
-                        if self._stopped:  # simlint: allow-hot-attr-reload
-                            break
-                        continue
-                if times:
-                    t = times[0]
-                    bucket = wheel[t & mask]
-                    # Reclaim the head-of-queue tombstone prefix *before*
-                    # the until/limit checks and without advancing the
-                    # clock -- exact parity with the reference heap
-                    # engine, which discards cancelled head entries even
-                    # when the next live event lies beyond the window.
-                    k = 0
-                    for item in bucket:
-                        if item[0] is not _noop:
-                            break
-                        k += 1
-                    if k:
-                        tombstones += k
-                        if k == length(bucket):
-                            pop(times)
-                            bucket.clear()
-                            continue
-                        del bucket[:k]
-                    if t > until_bound:
-                        break
-                    if executed >= limit:
-                        break
-                    pop(times)
-                    self._now = t
-                    if overflow:
-                        drain()
-                    consumed = 0
-                    # CPython list iteration observes appends, so events
-                    # scheduled *at the current time* by callbacks in this
-                    # bucket are picked up in the same pass, in order.
-                    for item in bucket:
-                        f = item[0]
-                        if f is _noop:
-                            consumed += 1
-                            tombstones += 1
-                            continue
-                        if executed >= limit:
-                            break
-                        consumed += 1
-                        f(*item[1])
-                        executed += 1
-                        if live:
-                            self._events_executed = base + executed
-                        if self._stopped:
-                            break
-                    if consumed != length(bucket):
-                        # limit/stop hit mid-bucket: keep the unconsumed
-                        # tail in place and re-register the timestamp so
-                        # the next run() resumes exactly here.
-                        del bucket[:consumed]
-                        push(times, t)
-                        break
-                    bucket.clear()
-                    if self._stopped:
-                        break
+            while heap:
+                entry = heap[0]
+                fn = entry[2]
+                if fn is _noop:
+                    # Discarded before the until/limit checks, as the
+                    # oracle does, even when the next live event lies
+                    # beyond the window.
+                    pop(heap)
+                    tombstones += 1
                     continue
-                if overflow:
-                    head = overflow[0]
-                    if head[2][0] is _noop:
-                        pop(overflow)
-                        tombstones += 1
-                        continue
-                    t = head[0]
-                    if t > until_bound:
-                        break
-                    if executed >= limit:
-                        break
-                    # Jump the clock to the overflow head and drain: the
-                    # wheel is empty, so this is a plain clock advancement.
-                    self._now = t
-                    drain()
-                    continue
-                break
+                time = entry[0]
+                if time > until_bound or executed >= limit:
+                    break
+                pop(heap)
+                self._now = time
+                fn(*entry[3])
+                executed += 1
+                if live:
+                    self._events_executed = base + executed
+                # `_stopped` is written by stop() from inside the
+                # callback we just ran, so it must be re-read after
+                # every dispatch; a pre-loop hoist would be a semantic
+                # change.
+                if self._stopped:  # simlint: allow-hot-attr-reload
+                    break
         finally:
             self._running = False
             self._events_executed = base + executed
@@ -613,8 +328,6 @@ class Engine:
         ):
             if until > self._now:
                 self._now = until
-                if overflow:
-                    self._drain_overflow()
         return executed
 
     def run_all(self, max_events: int = 50_000_000) -> int:

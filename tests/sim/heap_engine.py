@@ -1,12 +1,12 @@
 """The seed binary-heap event kernel: the differential-testing oracle.
 
-This is the engine the repo shipped with before the timing wheel,
-preserved byte-for-byte in behaviour so the differential harness
-(``test_engine_differential.py``, next to this file) can prove the
-timing-wheel :class:`repro.sim.engine.Engine` dispatches the exact same
-event order: same seed through both engines must yield byte-identical
-run summaries.  It lives with the tests because nothing in the package
-uses it; the tests, ``benchmarks/test_bench_micro.py`` and
+This is the engine the repo shipped with, preserved byte-for-byte in
+behaviour so the differential harness (``test_engine_differential.py``,
+next to this file) can prove the production
+:class:`repro.sim.engine.Engine` dispatches the exact same event order:
+same seed through both engines must yield byte-identical run summaries.
+It lives with the tests because nothing in the package uses it; the
+tests, ``benchmarks/test_bench_micro.py`` and
 ``scripts/bench_engine.py`` import it from here.
 
 Original design notes (a classic calendar-heap event loop):
@@ -189,7 +189,7 @@ class HeapEngine:
         return ev
 
     # ------------------------------------------------------------------
-    # API parity with the timing-wheel engine (components call these)
+    # API parity with repro.sim.engine.Engine (components call these)
     # ------------------------------------------------------------------
     def at_cancellable(self, time, fn, *args) -> HeapEventHandle:
         """Alias: every heap-engine event is cancellable."""
@@ -198,19 +198,6 @@ class HeapEngine:
     def after_cancellable(self, delay, fn, *args) -> HeapEventHandle:
         """Alias: every heap-engine event is cancellable."""
         return self.after(delay, fn, *args)
-
-    def wheel_stats(self) -> dict:
-        """Shape-compatible with :meth:`repro.sim.engine.Engine.wheel_stats`."""
-        return {
-            "slots": 0,
-            "horizon_ns": 0,
-            "occupied_buckets": 0,
-            "overflow_pending": len(self._heap),
-            "hot_armed": False,
-            "pending": self.pending,
-            "events_executed": self._events_executed,
-            "tombstones_discarded": self._tombstones_discarded,
-        }
 
     # ------------------------------------------------------------------
     # execution

@@ -1,20 +1,20 @@
 """Unit tests for the event kernel.
 
-The timing-wheel engine has three internal regimes -- hot slot (single
-pending event), wheel buckets (within the horizon), and the overflow
-heap (beyond it) -- plus transitions between them at every clock
-advancement.  The classes below cover the public contract; the
-``TestWheelRegimes`` class drives every regime boundary explicitly.
-Byte-for-bit equivalence with the reference heap engine is proven
-separately in ``test_engine_differential.py``.
+The classes below cover the public contract: ordering, run windows,
+cancellation and introspection.  ``TestWheelRegimes`` keeps the
+scheduling shapes that once stressed a timing wheel's regimes (far-future
+events, same-time ties scheduled from different places, windows that
+park the clock); they pin ordering on any kernel.  Byte-for-bit
+equivalence with the reference heap engine is proven separately in
+``test_engine_differential.py``.
 """
 
 import pytest
 
-from repro.sim.engine import _DEFAULT_WHEEL_SLOTS, Engine, SimulationError
+from repro.sim.engine import Engine, SimulationError
 
-#: A delay guaranteed to land beyond the wheel horizon (overflow heap).
-FAR = _DEFAULT_WHEEL_SLOTS * 3 + 7
+#: A delay far beyond every link, switch and heartbeat delay.
+FAR = 1_000_007
 
 
 class TestScheduling:
@@ -52,7 +52,7 @@ class TestScheduling:
             engine.at(50, lambda: None)
 
     def test_scheduling_in_the_past_raises_with_pending_work(self, engine):
-        # Same check on the non-hot path: the engine already holds events.
+        # Same check while the engine already holds events.
         engine.at(100, lambda: None)
         engine.at(200, lambda: None)
         engine.run(until=150)
@@ -209,15 +209,6 @@ class TestCancellation:
         assert seen == ["yes"]
         assert engine.tombstones_discarded >= 1
 
-    def test_cancelled_handles_are_pooled(self, engine):
-        first = engine.at_cancellable(10, lambda: None)
-        first.cancel()
-        second = engine.at_cancellable(20, lambda: None)
-        # The relinquished handle object is recycled for the next arm.
-        assert second is first
-        assert not second.cancelled
-        assert second.time == 20
-
     def test_peek_time_skips_cancelled(self, engine):
         first = engine.at_cancellable(5, lambda: None)
         engine.at(10, lambda: None)
@@ -248,7 +239,7 @@ class TestCancellation:
 
 
 class TestWheelRegimes:
-    """Drive the hot-slot / wheel / overflow boundaries explicitly."""
+    """Far-future events, same-time order and clock parking."""
 
     def test_far_future_events_cross_the_horizon(self, engine):
         order = []
@@ -259,17 +250,17 @@ class TestWheelRegimes:
         assert engine.now == FAR
 
     def test_same_time_order_across_overflow_and_wheel(self, engine):
-        # Scheduled-first-fires-first must hold even when the earlier
-        # event takes the overflow route and the later one is appended
-        # directly to the bucket after the clock has advanced.
+        # Scheduled-first-fires-first must hold when the earlier event is
+        # scheduled far ahead and the later one from a callback just
+        # before the shared time.
         order = []
         t = FAR
 
         def near_rider():
             engine.at(t, order.append, "direct")
 
-        engine.at(t, order.append, "overflow")  # beyond horizon now
-        engine.at(t - 5, near_rider)  # schedules "direct" once t is in-window
+        engine.at(t, order.append, "overflow")
+        engine.at(t - 5, near_rider)
         engine.run_all()
         assert order == ["overflow", "direct"]
 
@@ -291,7 +282,7 @@ class TestWheelRegimes:
         assert seen == [FAR]
 
     def test_hot_slot_spills_in_order(self, engine):
-        # First event parks hot; the second (earlier!) forces a spill.
+        # The second event is earlier than the first.
         order = []
         engine.at(50, order.append, "second")
         engine.at(10, order.append, "first")
@@ -306,8 +297,8 @@ class TestWheelRegimes:
         assert order == ["first", "second"]
 
     def test_hot_event_scheduled_mid_bucket_fires_after_bucket(self, engine):
-        # A zero-delay event scheduled from inside a bucket must fire
-        # after the bucket-mates that were scheduled before it.
+        # A zero-delay event scheduled from a callback must fire after
+        # the same-time mates that were scheduled before it.
         order = []
 
         def rider():
@@ -320,8 +311,8 @@ class TestWheelRegimes:
         assert order == ["rider", "mate", "hot"]
 
     def test_limit_break_then_hot_respects_pushed_back_bucket(self, engine):
-        # Regression for the one hot/wheel coexistence case: a bucket
-        # pushed back by max_events plus a hot event armed mid-bucket.
+        # max_events stops between two same-time mates after the first
+        # scheduled a zero-delay event; the mate still fires first.
         order = []
 
         def first():
@@ -335,41 +326,73 @@ class TestWheelRegimes:
         assert order == ["first", "second", "hot"]
 
     def test_pending_counts_all_regimes(self, engine):
-        engine.after(1, lambda: None)  # hot
+        engine.after(1, lambda: None)
         assert engine.pending == 1
-        engine.after(2, lambda: None)  # forces spill -> wheel x2
+        engine.after(2, lambda: None)
         assert engine.pending == 2
-        engine.after(FAR, lambda: None)  # overflow
+        engine.after(FAR, lambda: None)
         assert engine.pending == 3
+        engine.at_cancellable(FAR, lambda: None).cancel()
+        assert engine.pending == 4  # tombstones count until discarded
         engine.run_all()
         assert engine.pending == 0
 
-    def test_wheel_stats_shape(self, engine):
-        engine.after(1, lambda: None)
-        stats = engine.wheel_stats()
-        assert stats["hot_armed"] is True
-        assert stats["occupied_buckets"] == 0
-        engine.after(FAR, lambda: None)
-        stats = engine.wheel_stats()
-        assert stats["hot_armed"] is False
-        assert stats["occupied_buckets"] == 1
-        assert stats["overflow_pending"] == 1
+    def test_pending_inside_callback_counts_only_later_events(self, engine):
+        # The telemetry heartbeat samples `pending` from a callback: a
+        # same-time mate still due now is not pending, a later event is.
+        seen = []
+        engine.at(5, lambda: seen.append(engine.pending))
+        engine.at(5, lambda: None)
+        engine.at(10, lambda: None)
         engine.run_all()
-        assert engine.wheel_stats()["pending"] == 0
+        assert seen == [1]
 
-    def test_small_wheel_still_correct(self):
-        # A 4-slot wheel pushes nearly everything through the overflow
-        # machinery -- worst case for the drain logic.
-        engine = Engine(wheel_slots=4)
-        order = []
-        for t in (17, 3, 9, 3, 64, 2, 33):
-            engine.at(t, order.append, t)
-        engine.run_all()
-        assert order == [2, 3, 3, 9, 17, 33, 64]
 
-    def test_wheel_slots_must_be_power_of_two(self):
-        with pytest.raises(SimulationError):
-            Engine(wheel_slots=1000)
+class TestScheduleWrappers:
+    """Each schedule method pushes its own entry and calls no other.
+
+    ``perfbench/probes.py`` replaces all four schedule methods with a
+    wrapper that runs the callback inside a timing span.  A schedule
+    method that delegated to another public one would wrap its callback
+    twice in traced runs.
+    """
+
+    def test_each_callback_passes_exactly_one_wrapper(self, monkeypatch):
+        depth = [0]
+
+        def dispatch(fn, args):
+            depth[0] += 1
+            try:
+                fn(*args)
+            finally:
+                depth[0] -= 1
+
+        for name in ("at", "after", "at_cancellable", "after_cancellable"):
+            original = Engine.__dict__[name]
+
+            def schedule(self, when, fn, *args, _original=original):
+                return _original(self, when, dispatch, fn, args)
+
+            monkeypatch.setattr(Engine, name, schedule)
+
+        engine = Engine()
+        fired = []
+
+        def record(tag):
+            fired.append((tag, depth[0]))
+
+        engine.at(1, record, "at")
+        engine.after(2, record, "after")
+        engine.at_cancellable(3, record, "at_cancellable")
+        engine.after_cancellable(4, record, "after_cancellable")
+        engine.at_cancellable(5, record, "cancelled").cancel()
+        assert engine.run_all() == 4
+        assert fired == [
+            ("at", 1),
+            ("after", 1),
+            ("at_cancellable", 1),
+            ("after_cancellable", 1),
+        ]
 
 
 class TestConstruction:
